@@ -414,10 +414,11 @@ std::uint32_t TcpEndpoint::effective_peer_window() const noexcept {
 void TcpEndpoint::update_peer_window(const Packet& pkt) {
   if (has_flag(pkt.tcp.flags, tcpflag::kSyn)) {
     // Window scale is negotiated on the handshake; the SYN/SYN+ACK window
-    // itself is never scaled.
+    // itself is never scaled. RFC 7323 §2.3: a shift above 14 is used as 14
+    // (a tampered option can carry any byte).
     const auto shift = pkt.tcp.window_scale();
     peer_wscale_enabled_ = shift.has_value() && config_.window_scale.has_value();
-    peer_wscale_shift_ = shift.value_or(0);
+    peer_wscale_shift_ = std::min<std::uint8_t>(shift.value_or(0), 14);
   }
   peer_window_ = pkt.tcp.window;
 }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 
 namespace caya {
@@ -116,6 +119,82 @@ TEST(Rng, ForkIsIndependentOfParentDraws) {
   Rng b(42);
   Rng child2 = b.fork();
   EXPECT_EQ(child.uniform(0, 1'000'000), child2.uniform(0, 1'000'000));
+}
+
+// ---- Mt19937_64 against the standard engine ----------------------------
+//
+// The lazy engine must be std::mt19937_64 word for word: same draws, same
+// textual state, at every point where seeding or a twist is partly done.
+
+std::string standard_state(const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << engine;
+  return out.str();
+}
+
+constexpr std::uint64_t kOracleSeeds[] = {
+    0, 1, 5489, std::numeric_limits<std::uint64_t>::max()};
+
+TEST(Rng, EngineMatchesStandardDrawsAndState) {
+  // Draw counts at the seed-word and generation boundaries (n = 312,
+  // m = 156): the first twist needs seed word x[156], the second
+  // generation starts at 312.
+  const int kCounts[] = {0, 1, 155, 156, 157, 311, 312, 313, 623, 624, 625,
+                         1000};
+  for (const std::uint64_t seed : kOracleSeeds) {
+    for (const int count : kCounts) {
+      std::mt19937_64 oracle(seed);
+      Rng rng(seed);
+      for (int i = 0; i < count; ++i) {
+        ASSERT_EQ(rng.engine()(), oracle()) << "seed " << seed << " draw " << i;
+      }
+      EXPECT_EQ(rng.save_state(), standard_state(oracle))
+          << "seed " << seed << " after " << count << " draws";
+      EXPECT_EQ(rng.engine()(), oracle());
+    }
+  }
+}
+
+TEST(Rng, RestoresStandardEngineState) {
+  for (const std::uint64_t seed : kOracleSeeds) {
+    std::mt19937_64 oracle(seed);
+    for (int i = 0; i < 200; ++i) (void)oracle();
+    Rng rng(seed + 1);
+    rng.restore_state(standard_state(oracle));
+    for (int i = 0; i < 700; ++i) {
+      ASSERT_EQ(rng.engine()(), oracle()) << "seed " << seed << " draw " << i;
+    }
+    EXPECT_EQ(rng.save_state(), standard_state(oracle));
+  }
+}
+
+TEST(Rng, CopyMidSeedingStaysEqual) {
+  // A copy of an engine whose seed words and first twist are only partly
+  // computed must continue exactly as the original.
+  for (const int draws : {1, 10, 155, 200}) {
+    Rng original(77);
+    for (int i = 0; i < draws; ++i) (void)original.engine()();
+    Rng copy = original;
+    Rng assigned(3);
+    assigned = original;
+    for (int i = 0; i < 700; ++i) {
+      const std::uint64_t expected = original.engine()();
+      ASSERT_EQ(copy.engine()(), expected) << "after " << draws << " draws";
+      ASSERT_EQ(assigned.engine()(), expected) << "after " << draws;
+    }
+    EXPECT_EQ(copy.save_state(), original.save_state());
+  }
+}
+
+TEST(Rng, DistributionsMatchStandardEngine) {
+  std::mt19937_64 oracle(2024);
+  Rng rng(2024);
+  for (int i = 0; i < 500; ++i) {
+    std::uniform_int_distribution<std::uint64_t> ints(3, 1000);
+    std::uniform_real_distribution<double> units(0.0, 1.0);
+    EXPECT_EQ(rng.uniform(3, 1000), ints(oracle));
+    EXPECT_EQ(rng.unit(), units(oracle));
+  }
 }
 
 }  // namespace

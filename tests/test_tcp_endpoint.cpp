@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "netsim/network.h"
 
 namespace caya {
@@ -272,6 +275,35 @@ TEST(TcpEndpoint, DuplicateSynInSynReceivedIsAckedNotFatal) {
   EXPECT_EQ(sent[0].tcp.flags, tcpflag::kAck);
   EXPECT_EQ(sent[0].tcp.ack, 5001u);
   EXPECT_TRUE(client.received().empty());
+}
+
+TEST(TcpEndpoint, OversizedWindowScaleIsClampedTo14) {
+  // A tampered SYN+ACK can carry any wscale byte; RFC 7323 §2.3 uses a
+  // shift above 14 as 14. The header still reports the byte on the wire.
+  EventLoop loop;
+  std::vector<Packet> sent;
+  TcpEndpoint client(loop,
+                     {.local_addr = kClientAddr,
+                      .local_port = 3822,
+                      .remote_addr = kServerAddr,
+                      .remote_port = 80,
+                      .isn = 1000},
+                     [&](Packet p) { sent.push_back(std::move(p)); });
+  client.connect();
+  Packet synack = make_tcp_packet(kServerAddr, 80, kClientAddr, 3822,
+                                  tcpflag::kSyn | tcpflag::kAck, 5000, 1001);
+  synack.tcp.window = 1;
+  synack.tcp.set_option(TcpOption::kWindowScale, {255});
+  EXPECT_EQ(synack.tcp.window_scale(), std::optional<std::uint8_t>(255));
+  client.deliver(synack);
+  ASSERT_EQ(client.state(), TcpState::kEstablished);
+
+  sent.clear();
+  client.send_data(Bytes(20000, 'x'));
+  std::size_t payload_bytes = 0;
+  for (const Packet& pkt : sent) payload_bytes += pkt.payload.size();
+  // A window of 1 scaled by 2^14 lets exactly 16384 bytes go out.
+  EXPECT_EQ(payload_bytes, std::size_t{1} << 14);
 }
 
 TEST(TcpEndpoint, LinuxIgnoresSynAckPayload) {

@@ -1135,11 +1135,12 @@ int cmd_run(int argc, char** argv) {
     }
   }
 
-  // Trials are independent simulations seeded from seed + i; shard them
-  // across the pool and reduce outcomes in index order, so any --jobs value
-  // prints exactly the --jobs 1 report. Only trial 0 records a trace (the
-  // one the waterfall/pcap outputs show), so the capture is deterministic
-  // too.
+  // Trials are independent simulations seeded from seed + i, each on a
+  // substrate from the worker's EnvironmentPool (a reset substrate equals a
+  // fresh one, DESIGN.md §14); shard them across the pool and reduce
+  // outcomes in index order, so any --jobs value prints exactly the
+  // --jobs 1 report. Only trial 0 records a trace (the one the
+  // waterfall/pcap outputs show), so the capture is deterministic too.
   struct RunOutcome {
     bool success = false;
     bool timed_out = false;
@@ -1163,8 +1164,7 @@ int cmd_run(int argc, char** argv) {
         }
         options.client_os = os;
         options.record_trace = want_trace && i == 0;
-        Environment env(config);
-        const TrialResult result = env.run_connection(options);
+        const TrialResult result = run_trial(config, options);
         if (options.record_trace) first_trace = result.trace;
         return RunOutcome{result.success, result.timed_out};
       });
